@@ -1,6 +1,7 @@
 module Msg_id = Svs_obs.Msg_id
 module Annotation = Svs_obs.Annotation
 module Purge_index = Svs_obs.Purge_index
+module Int_tbl = Svs_obs.Int_tbl
 module Metrics = Svs_telemetry.Metrics
 module Trace = Svs_telemetry.Trace
 open Types
@@ -10,6 +11,14 @@ let log_src = Logs.Src.create "svs.protocol" ~doc:"SVS protocol (Figure 1)"
 module Log = (val Logs.src_log log_src : Logs.LOG)
 
 type 'p entry = Edata of 'p data | Eview of View.t
+
+(* Per-sender state. Accepted sns of one sender strictly increase (the
+   floor rises on every accept) and delivery is FIFO, so [delivered]
+   is in sn order and stability trims it from the front. *)
+type 'p sender = {
+  mutable floor : int; (* highest accepted sn *)
+  delivered : 'p data Queue.t; (* delivered in the current view, oldest first *)
+}
 
 (* Per-view-change bookkeeping (Figure 1's leave / global-pred /
    pred-received variables, instantiated for the current view only:
@@ -53,15 +62,14 @@ type 'p t = {
      inserting a message touches exactly the entries it can obsolete
      instead of sweeping the queue. *)
   pidx : 'p entry Dq.handle Purge_index.t;
-  mutable delivered_this_view : 'p data list; (* reversed *)
-  floors : (int, int) Hashtbl.t; (* sender -> highest accepted sn *)
+  senders : 'p sender Int_tbl.t;
   mutable vc : 'p vc_state option;
   stash : (int * 'p wire) Queue.t; (* future-view messages *)
   mutable outputs : 'p output list; (* reversed *)
   (* Stability tracking: the latest gossiped receive floors of every
      peer; messages at or below every member's floor are stable and can
      be dropped from the PRED bookkeeping. *)
-  peer_floors : (int, (int, int) Hashtbl.t) Hashtbl.t;
+  peer_floors : int Int_tbl.t Int_tbl.t;
   mutable trimmed : int;
   (* Telemetry. The purge counters split the old single total by the
      site of the purge (Figure 1's three shaded steps). [queued_data]
@@ -99,12 +107,11 @@ let create ~me ~initial_view ?(semantic = true) ?(tracer = Trace.nop) ?metrics
     lease_uncertain = false;
     to_deliver = Dq.create ();
     pidx = Purge_index.create ();
-    delivered_this_view = [];
-    floors = Hashtbl.create 16;
+    senders = Int_tbl.create 16;
     vc = None;
     stash = Queue.create ();
     outputs = [];
-    peer_floors = Hashtbl.create 16;
+    peer_floors = Int_tbl.create 16;
     trimmed = 0;
     tracer;
     clock;
@@ -127,6 +134,26 @@ let create ~me ~initial_view ?(semantic = true) ?(tracer = Trace.nop) ?metrics
     queued_data = 0;
   }
 
+let sender t s =
+  match Int_tbl.find t.senders s with
+  | st -> st
+  | exception Not_found ->
+      let st = { floor = -1; delivered = Queue.create () } in
+      Int_tbl.replace t.senders s st;
+      st
+
+let floor_of t s = match Int_tbl.find t.senders s with st -> st.floor | exception Not_found -> -1
+
+let raise_floor t s sn =
+  let st = sender t s in
+  if sn > st.floor then st.floor <- sn
+
+(* The senders with their state, ascending by id. *)
+let senders_sorted t =
+  List.sort
+    (fun (a, _) (b, _) -> Int.compare a b)
+    (Int_tbl.fold (fun s st acc -> (s, st) :: acc) t.senders [])
+
 (* A joiner has no view yet: its placeholder current view holds only
    itself, with the last view it installed before crashing (so the
    stale-message guard still applies across restart) or [-1] for a
@@ -144,7 +171,7 @@ let create_joiner ~me ?recovery ?semantic ?tracer ?metrics ?clock ~suspects () =
   (match recovery with
   | None -> ()
   | Some r ->
-      List.iter (fun (sender, sn) -> Hashtbl.replace t.floors sender sn) r.floors;
+      List.iter (fun (s, sn) -> raise_floor t s sn) r.floors;
       t.next_sn <- r.next_sn);
   t
 
@@ -181,7 +208,8 @@ let set_state_transfer t f = t.state_transfer <- f
 
 let mark_lease_uncertain t = t.lease_uncertain <- true
 
-let floors t = Hashtbl.fold (fun sender sn acc -> (sender, sn) :: acc) t.floors []
+let floors t =
+  Int_tbl.fold (fun s st acc -> if st.floor >= 0 then (s, st.floor) :: acc else acc) t.senders []
 
 let next_sn t = t.next_sn
 
@@ -216,12 +244,6 @@ let take_outputs t =
   let outs = List.rev t.outputs in
   t.outputs <- [];
   outs
-
-let floor_of t sender =
-  match Hashtbl.find_opt t.floors sender with Some sn -> sn | None -> -1
-
-let raise_floor t (id : Msg_id.t) =
-  if id.sn > floor_of t id.sender then Hashtbl.replace t.floors id.sender id.sn
 
 (* Incremental purge around a newly inserted message: with the queue
    already purged, only pairs involving [fresh] can newly match, and
@@ -258,7 +280,7 @@ let purge_around t ~site (fresh : 'p data) fresh_handle =
 (* Insert an accepted data message (t2 self-copy, t3 reception, or t7
    injection) and purge. *)
 let accept t ~site (d : 'p data) =
-  raise_floor t d.id;
+  raise_floor t d.id.Msg_id.sender d.id.Msg_id.sn;
   let h = Dq.push_back_h t.to_deliver (Edata d) in
   set_queued t (t.queued_data + 1);
   purge_around t ~site d h
@@ -269,42 +291,35 @@ let stable_floor t sender =
       let f =
         if p = t.me then floor_of t sender
         else
-          match Hashtbl.find_opt t.peer_floors p with
-          | None -> -1
-          | Some tbl -> Option.value ~default:(-1) (Hashtbl.find_opt tbl sender)
+          match Int_tbl.find (Int_tbl.find t.peer_floors p) sender with
+          | f -> f
+          | exception Not_found -> -1
       in
       Stdlib.min acc f)
     max_int t.cv.View.members
 
-(* Single pass: count removals while filtering, and resolve each
-   sender's stable floor (a fold over the membership) once instead of
-   per message. *)
+(* Each sender's delivered messages are in sn order, so the stable
+   ones are a prefix: O(trimmed) plus one stable-floor fold per
+   sender. *)
 let trim_stable t =
-  let floors : (int, int) Hashtbl.t = Hashtbl.create 8 in
-  let floor_for sender =
-    match Hashtbl.find_opt floors sender with
-    | Some f -> f
-    | None ->
-        let f = stable_floor t sender in
-        Hashtbl.replace floors sender f;
-        f
-  in
-  let removed = ref 0 in
-  t.delivered_this_view <-
-    List.filter
-      (fun (d : 'p data) ->
-        let keep = d.id.Msg_id.sn > floor_for d.id.Msg_id.sender in
-        if not keep then begin
-          incr removed;
+  Int_tbl.iter
+    (fun s st ->
+      if not (Queue.is_empty st.delivered) then begin
+        let f = stable_floor t s in
+        while
+          (not (Queue.is_empty st.delivered)) && (Queue.peek st.delivered).id.Msg_id.sn <= f
+        do
+          let d = Queue.pop st.delivered in
+          t.trimmed <- t.trimmed + 1;
           if Trace.enabled t.tracer then
-            Trace.emit t.tracer
-              (StableMsg { node = t.me; sender = d.id.Msg_id.sender; sn = d.id.Msg_id.sn })
-        end;
-        keep)
-      t.delivered_this_view;
-  t.trimmed <- t.trimmed + !removed
+            Trace.emit t.tracer (StableMsg { node = t.me; sender = s; sn = d.id.Msg_id.sn })
+        done
+      end)
+    t.senders
 
 let stable_trimmed t = t.trimmed
+
+let clear_delivered t = Int_tbl.iter (fun _ st -> Queue.clear st.delivered) t.senders
 
 let local_pred t =
   let from_queue =
@@ -312,7 +327,9 @@ let local_pred t =
       (function Edata d when d.view_id = t.cv.View.id -> Some d | Edata _ | Eview _ -> None)
       (Dq.to_list t.to_deliver)
   in
-  List.rev_append t.delivered_this_view from_queue
+  List.fold_right
+    (fun (_, st) acc -> List.of_seq (Queue.to_seq st.delivered) @ acc)
+    (senders_sorted t) from_queue
 
 let accepted_in_view = local_pred
 
@@ -426,25 +443,25 @@ let handle_init t ~src ~leave ~join =
 let handle_stable t ~src ~floors =
   if src <> t.me then begin
     let tbl =
-      match Hashtbl.find_opt t.peer_floors src with
-      | Some tbl -> tbl
-      | None ->
-          let tbl = Hashtbl.create 8 in
-          Hashtbl.replace t.peer_floors src tbl;
+      match Int_tbl.find t.peer_floors src with
+      | tbl -> tbl
+      | exception Not_found ->
+          let tbl = Int_tbl.create 8 in
+          Int_tbl.replace t.peer_floors src tbl;
           tbl
     in
     List.iter
       (fun (sender, sn) ->
-        match Hashtbl.find_opt tbl sender with
-        | Some old when old >= sn -> ()
-        | Some _ | None -> Hashtbl.replace tbl sender sn)
+        match Int_tbl.find tbl sender with
+        | old when old >= sn -> ()
+        | _ | (exception Not_found) -> Int_tbl.replace tbl sender sn)
       floors;
     trim_stable t
   end
 
 let gossip_stability t =
   if t.status = Member && not t.blocked then begin
-    let floors = Hashtbl.fold (fun sender sn acc -> (sender, sn) :: acc) t.floors [] in
+    let floors = floors t in
     if floors <> [] then send_to_others t (Wstable { floors })
   end
 
@@ -470,7 +487,7 @@ let handle_data t (d : 'p data) =
       if covered then begin
         (* Already obsolete on arrival: account it as accepted (for
            FIFO floors) but never enqueue it. *)
-        raise_floor t d.id;
+        raise_floor t d.id.Msg_id.sender d.id.Msg_id.sn;
         note_purged t ~site:Trace.At_receive ~view_id:d.view_id d.id
       end
       else accept t ~site:Trace.At_receive d
@@ -539,9 +556,7 @@ let rec receive t ~src wire =
 and handle_sync t ~src ~view ~floors ~app =
   if t.status = Joining && View.mem t.me view && view.View.id > t.cv.View.id then begin
     Log.info (fun m -> m "p%d: synced into %a by %d" t.me View.pp view src);
-    List.iter
-      (fun (sender, sn) -> if sn > floor_of t sender then Hashtbl.replace t.floors sender sn)
-      floors;
+    List.iter (fun (s, sn) -> raise_floor t s sn) floors;
     (* A joiner recovering from a damaged log may carry a rolled-back
        sequence counter; the group's floor for us bounds every number
        an earlier incarnation put on the wire that the group has fully
@@ -560,7 +575,7 @@ and handle_sync t ~src ~view ~floors ~app =
     t.status <- Member;
     t.blocked <- false;
     t.vc <- None;
-    t.delivered_this_view <- [];
+    clear_delivered t;
     if Trace.enabled t.tracer then begin
       Trace.emit t.tracer
         (StateTransfer
@@ -621,7 +636,7 @@ and decided t ~view_id (p : 'p proposal) =
       end;
       t.blocked <- false;
       t.vc <- None;
-      t.delivered_this_view <- [];
+      clear_delivered t;
       if Trace.enabled t.tracer then
         Trace.emit t.tracer
           (ViewInstall
@@ -632,7 +647,7 @@ and decided t ~view_id (p : 'p proposal) =
              });
       emit t (Installed p.next_view);
       if is_sponsor then begin
-        let floors = Hashtbl.fold (fun sender sn acc -> (sender, sn) :: acc) t.floors [] in
+        let floors = floors t in
         let app = t.state_transfer () in
         let bytes = match app with None -> 0 | Some s -> String.length s in
         List.iter
@@ -662,7 +677,7 @@ let deliver t =
   | Some (Edata d) ->
       set_queued t (t.queued_data - 1);
       if t.semantic then Purge_index.remove t.pidx ~view:d.view_id ~id:d.id ~ann:d.ann;
-      if d.view_id = t.cv.View.id then t.delivered_this_view <- d :: t.delivered_this_view;
+      if d.view_id = t.cv.View.id then Queue.push d (sender t d.id.Msg_id.sender).delivered;
       if Trace.enabled t.tracer then
         Trace.emit t.tracer
           (Deliver
@@ -782,7 +797,7 @@ let mc_fingerprint ~payload t =
           buf_view b v)
     t.to_deliver;
   Buffer.add_char b '/';
-  List.iter (buf_data ~payload b) t.delivered_this_view;
+  List.iter (fun (_, st) -> Queue.iter (buf_data ~payload b) st.delivered) (senders_sorted t);
   Buffer.add_char b '/';
   buf_floors b (floors t);
   (match t.vc with
@@ -812,10 +827,10 @@ let mc_fingerprint ~payload t =
   List.iter
     (fun (peer, tbl) ->
       buf_int b peer;
-      buf_floors b (Hashtbl.fold (fun s sn acc -> (s, sn) :: acc) tbl []))
+      buf_floors b (Int_tbl.fold (fun s sn acc -> (s, sn) :: acc) tbl []))
     (List.sort
        (fun (a, _) (b, _) -> compare (a : int) b)
-       (Hashtbl.fold (fun p tbl acc -> (p, tbl) :: acc) t.peer_floors []));
+       (Int_tbl.fold (fun p tbl acc -> (p, tbl) :: acc) t.peer_floors []));
   Buffer.add_char b '/';
   buf_int b (List.length t.outputs);
   Digest.string (Buffer.contents b)

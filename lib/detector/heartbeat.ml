@@ -15,6 +15,7 @@ type peer_state = {
   mutable last_heard : float;
   mutable timeout : float;
   mutable suspected : bool;
+  mutable confirmed : bool; (* the current suspicion is known correct *)
 }
 
 type t = {
@@ -50,7 +51,13 @@ let create engine config ~me ~peers ~send_heartbeat =
     invalid_arg "Heartbeat.create: max_timeout below initial_timeout";
   let now = Engine.now engine in
   let mk peer =
-    { peer; last_heard = now; timeout = config.initial_timeout; suspected = false }
+    {
+      peer;
+      last_heard = now;
+      timeout = config.initial_timeout;
+      suspected = false;
+      confirmed = false;
+    }
   in
   let t =
     {
@@ -87,10 +94,14 @@ let on_heartbeat t ~src =
   | Some st ->
       st.last_heard <- Engine.now t.engine;
       if st.suspected then begin
-        (* False suspicion: rescind and adapt the timeout upward. *)
+        (* Rescind. Unless the suspicion was confirmed (this is the
+           peer's next incarnation), it was a false one: adapt the
+           timeout upward. *)
         st.suspected <- false;
-        st.timeout <-
-          Float.min t.config.max_timeout (st.timeout +. t.config.timeout_increment);
+        if not st.confirmed then
+          st.timeout <-
+            Float.min t.config.max_timeout (st.timeout +. t.config.timeout_increment);
+        st.confirmed <- false;
         List.iter (fun f -> f st.peer) t.rescind_callbacks
       end
 
@@ -119,6 +130,9 @@ let force_suspect t p =
         st.suspected <- true;
         List.iter (fun f -> f st.peer) t.suspect_callbacks
       end
+
+let confirm t p =
+  match find_peer t p with Some st when st.suspected -> st.confirmed <- true | _ -> ()
 
 let timeout_of t p =
   match find_peer t p with

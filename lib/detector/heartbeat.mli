@@ -6,7 +6,9 @@
     Peers are suspected when no heartbeat arrived within their current
     timeout; a heartbeat from a suspected peer rescinds the suspicion
     and increases that peer's timeout, so in runs where message delays
-    stabilise, suspicions are eventually accurate (◊P). *)
+    stabilise, suspicions are eventually accurate (◊P). A suspicion
+    {!confirm}ed by evidence that the peer restarted was not a false
+    one and leaves the timeout unchanged. *)
 
 type t
 
@@ -52,6 +54,15 @@ val force_suspect : t -> int -> unit
     slow-member policy whose peer sat over the hard backpressure
     watermark past its eviction deadline). No-op for unknown or
     already-suspected peers; a later heartbeat rescinds it normally. *)
+
+val confirm : t -> int -> unit
+(** The suspected peer demonstrably restarted (e.g. its new
+    incarnation opened a fresh stream), so its predecessor did crash
+    and suspecting it was right: the heartbeat that rescinds the
+    current suspicion leaves the timeout unchanged instead of counting
+    a false suspicion. Exclusion alone is no such evidence — a live
+    peer whose heartbeats ran late is excluded too, and its timeout
+    must still grow. No-op for unknown or unsuspected peers. *)
 
 val timeout_of : t -> int -> float
 (** Current adaptive timeout for a peer (for tests/inspection). *)

@@ -5,17 +5,25 @@
     of §4.2 have bounded fan-in — a tag names one lineage, an
     enumeration a finite predecessor list, a k-enumeration a k-wide
     window — so the pairs a fresh message can participate in are
-    reachable by point lookups:
+    reachable by point lookups. A view's state is kept per sender:
 
-    - a (sender, tag) map holding the one queued entry per tag lineage
-      ([Tag] both directions);
-    - a (sender, sn) map over all queued entries ([Enum] and [Kenum]
-      forward probes);
-    - a reverse map from every enumerated predecessor id to the queued
-      [Enum] entries naming it (the cross-sender reverse direction);
-    - per-sender high-water marks bounding the [Kenum] reverse window
-      probe (it short-circuits whenever nothing is queued above the
-      fresh sequence number — always, for in-order senders).
+    - the sender's queued entries, in a ring indexed by sequence
+      number ([Enum] and [Kenum] forward probes);
+    - a tag map holding the one queued entry per tag lineage ([Tag]
+      both directions);
+    - a reverse map from each of the sender's sequence numbers named
+      by a queued [Enum] entry to those entries (the cross-sender
+      reverse direction);
+    - a high-water mark and the widest queued [Kenum] window, bounding
+      the [Kenum] reverse probe (it short-circuits whenever nothing is
+      queued above the fresh sequence number — always, for in-order
+      senders). Both reset when the sender has nothing queued.
+
+    Every key is an int, so no probe allocates or runs the generic
+    hash, and {!plan} allocates nothing when there are no victims. The
+    newest view's state survives its queue draining (a steady stream
+    does not rebuild it per message); an older view's state is dropped
+    once it has drained.
 
     The structure is parametric in ['h], the queue handle type (e.g.
     [Dq.handle]), so it composes with any buffer that supports O(1)
@@ -25,7 +33,10 @@
     (the protocol's FIFO floors guarantee it); every insert runs
     {!plan} and removes the victims before {!add}ing the fresh entry,
     keeping the queue purge-closed; every entry leaving the queue for
-    any reason is {!remove}d. *)
+    any reason is {!remove}d. Sequence numbers may arrive in any order;
+    the ring is sized by the span of a sender's queued sequence
+    numbers, and a sender whose span outgrows 2{^16} falls back to a
+    hashtable until it drains. *)
 
 type 'h t
 
@@ -55,3 +66,7 @@ val obsoleted : 'h t -> view:int -> id:Msg_id.t -> ann:Annotation.t -> bool
 
 val cardinal : 'h t -> view:int -> int
 (** Indexed entries of one view (for tests). *)
+
+val views_retained : 'h t -> int
+(** Views whose state is held: every view with queued entries, plus
+    the newest. For tests only. *)

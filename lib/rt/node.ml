@@ -11,6 +11,7 @@ module Trace = Svs_telemetry.Trace
 module Msg_id = Svs_obs.Msg_id
 module Shed = Svs_obs.Shed
 module Annotation = Svs_obs.Annotation
+module Int_tbl = Svs_obs.Int_tbl
 
 let src = Logs.Src.create "svs.rt" ~doc:"SVS real-time node"
 
@@ -121,6 +122,61 @@ let lease_chunk = 8192
 
 let lease_low_water = 2048
 
+(* Per-sender runtime state. [sns]/[views]/[times] is a FIFO ring (of
+   power-of-two capacity) of the wall-clock arrival stamps of the
+   sender's messages not yet delivered, in sn order: accepted sns of
+   one sender strictly increase and delivery is FIFO, so a delivery
+   pops every stamp below its sn (those messages were purged).
+   [wal_floor] is the last delivered sn not yet appended to the WAL:
+   floors are coalesced to one record per sender per group commit. *)
+type origin = {
+  mutable sns : int array;
+  mutable views : int array;
+  mutable times : float array;
+  mutable head : int;
+  mutable len : int;
+  mutable last : int; (* highest sn stamped *)
+  mutable wal_floor : int; (* -1: nothing to append *)
+}
+
+let origin_capacity = 16
+
+let new_origin () =
+  {
+    sns = Array.make origin_capacity 0;
+    views = Array.make origin_capacity 0;
+    times = Array.make origin_capacity 0.0;
+    head = 0;
+    len = 0;
+    last = -1;
+    wal_floor = -1;
+  }
+
+let stamp o ~sn ~view ~at =
+  let cap = Array.length o.sns in
+  if o.len = cap then begin
+    let reorder a fill =
+      let b = Array.make (2 * cap) fill in
+      for i = 0 to cap - 1 do
+        b.(i) <- a.((o.head + i) land (cap - 1))
+      done;
+      b
+    in
+    o.sns <- reorder o.sns 0;
+    o.views <- reorder o.views 0;
+    o.times <- reorder o.times 0.0;
+    o.head <- 0
+  end;
+  let i = (o.head + o.len) land (Array.length o.sns - 1) in
+  o.sns.(i) <- sn;
+  o.views.(i) <- view;
+  o.times.(i) <- at;
+  o.len <- o.len + 1
+
+let unstamp o =
+  o.head <- (o.head + 1) land (Array.length o.sns - 1);
+  o.len <- o.len - 1
+
 type 'p t = {
   loop : Loop.t;
   me : int;
@@ -177,11 +233,11 @@ type 'p t = {
   evicting : (int, unit) Hashtbl.t;
   delivery_latency : Metrics.Histogram.t;
   merge_spans : Metrics.Histogram.t;
-  (* Wall-clock arrival time of each message accepted but not yet
-     delivered, keyed by id; entries of view [v] are swept when the
-     View_change for a later view is delivered (by then every view-[v]
-     message that will ever be delivered has been). *)
-  arrivals : (Msg_id.t, int * float) Hashtbl.t;
+  (* Arrival stamps and pending WAL floors, per sender. Stamps of view
+     [v] are also swept when the View_change for a later view is
+     delivered (by then every view-[v] message that will ever be
+     delivered has been). *)
+  origins : origin Int_tbl.t;
 }
 
 let id t = t.me
@@ -217,9 +273,38 @@ let delivery_latency t = t.delivery_latency
 
 let pending_to t ~dst = Tcp_mesh.pending_bytes t.mesh ~dst
 
+let origin t s =
+  match Int_tbl.find t.origins s with
+  | o -> o
+  | exception Not_found ->
+      let o = new_origin () in
+      Int_tbl.replace t.origins s o;
+      o
+
+(* Duplicates and sns below one already stamped are never accepted. *)
 let note_arrival t (d : 'p Types.data) =
-  if not (Hashtbl.mem t.arrivals d.Types.id) then
-    Hashtbl.replace t.arrivals d.Types.id (d.Types.view_id, Loop.now t.loop)
+  let o = origin t d.Types.id.Msg_id.sender in
+  if d.Types.id.Msg_id.sn > o.last then begin
+    o.last <- d.Types.id.Msg_id.sn;
+    stamp o ~sn:d.Types.id.Msg_id.sn ~view:d.Types.view_id ~at:(Loop.now t.loop)
+  end
+
+let pending_stamps t = Int_tbl.fold (fun _ o acc -> acc + o.len) t.origins 0
+
+(* Append the coalesced delivery floors. Runs before every sync, so a
+   completed sync covers every delivery made before it. *)
+let append_floors t w =
+  Int_tbl.iter
+    (fun sender o ->
+      if o.wal_floor >= 0 then begin
+        Wal.append w (Wal.Floor { sender; sn = o.wal_floor });
+        o.wal_floor <- -1
+      end)
+    t.origins
+
+let wal_sync t w =
+  append_floors t w;
+  Wal.sync w
 
 let send_packet t ~dst packet =
   let w = t.pkt_writer in
@@ -239,10 +324,12 @@ let send_packet t ~dst packet =
      per-packet string, no per-packet syscall. *)
   Tcp_mesh.send_writer t.mesh ~dst ?meta w
 
+(* A node stopped from a callback (e.g. [on_deliverable]) acts on
+   nothing further. *)
 let rec drain t =
   let outs = Protocol.take_outputs t.proto in
-  List.iter (handle_output t) outs;
-  if Protocol.to_deliver_length t.proto > 0 then t.on_deliverable ()
+  List.iter (fun o -> if not t.stopped then handle_output t o) outs;
+  if (not t.stopped) && Protocol.to_deliver_length t.proto > 0 then t.on_deliverable ()
 
 and handle_output t = function
   | Types.Send { dst; wire } ->
@@ -264,7 +351,11 @@ and handle_output t = function
       Log.info (fun m -> m "node %d installed %a" t.me View.pp v);
       (* The installed view is the recovery anchor: make it durable
          before acting in it. *)
-      (match t.wal with Some w -> Wal.append_durable w (Wal.Install v) | None -> ());
+      (match t.wal with
+      | Some w ->
+          append_floors t w;
+          Wal.append_durable w (Wal.Install v)
+      | None -> ());
       (* A member listed in the new view is alive by agreement, so a
          written-off stream towards it belongs to a dead incarnation:
          forgive it and open a fresh FIFO stream. *)
@@ -552,7 +643,7 @@ let multicast t ?ann payload =
             t.leased <- sn + lease_chunk;
             Wal.append w (Wal.Lease { next_sn = t.leased })
           end;
-          Wal.sync w;
+          wal_sync t w;
           t.durable_leased <- t.leased
         end
         else if t.leased - sn <= lease_low_water then begin
@@ -651,27 +742,30 @@ let deliver t =
     match Protocol.deliver t.proto with
     | None -> None
     | Some (Types.Data d) as r ->
-        (* Delivery-floor updates ride the periodic sync: losing the
-           tail only re-widens the floor, never narrows it below a
-           delivery that was made durable. *)
-        (match t.wal with
-        | Some w ->
-            Wal.append w
-              (Wal.Floor { sender = d.Types.id.Msg_id.sender; sn = d.Types.id.Msg_id.sn })
-        | None -> ());
-        (match Hashtbl.find_opt t.arrivals d.Types.id with
-        | Some (_, at) ->
-            Metrics.Histogram.observe t.delivery_latency (Loop.now t.loop -. at);
-            Hashtbl.remove t.arrivals d.Types.id
-        | None -> ());
+        let sn = d.Types.id.Msg_id.sn in
+        let o = origin t d.Types.id.Msg_id.sender in
+        (* Delivery-floor updates ride the next sync: losing the tail
+           only re-widens the floor, never narrows it below a delivery
+           that was made durable. *)
+        o.wal_floor <- sn;
+        while o.len > 0 && o.sns.(o.head) < sn do
+          unstamp o
+        done;
+        if o.len > 0 && o.sns.(o.head) = sn then begin
+          Metrics.Histogram.observe t.delivery_latency (Loop.now t.loop -. o.times.(o.head));
+          unstamp o
+        end;
         r
     | Some (Types.View_change v) as r ->
-        (* Sweep timestamps of messages that can no longer be
-           delivered (purged or stale entries of finished views). *)
-        Hashtbl.filter_map_inplace
-          (fun _ ((view_id, _) as entry) ->
-            if view_id < v.View.id then None else Some entry)
-          t.arrivals;
+        (* Sweep stamps of messages that can no longer be delivered
+           (stale entries of finished views). A sender's views rise
+           with its sns, so they are a prefix. *)
+        Int_tbl.iter
+          (fun _ o ->
+            while o.len > 0 && o.views.(o.head) < v.View.id do
+              unstamp o
+            done)
+          t.origins;
         r
 
 let deliver_all t =
@@ -810,6 +904,11 @@ let create loop ~me ~listen_fd ~peers ~payload_codec ?(config = default_config)
                 (* Feed the transport's misbehavior score: repeated
                    garbage escalates to link reset and quarantine. *)
                 Tcp_mesh.note_misbehavior t.mesh ~src ~reason:"bad-frame"))
+      ~on_hello:(fun ~src ->
+        (* A suspected peer dialing us afresh is a restarted
+           incarnation: its predecessor did crash, so the suspicion
+           was correct and must not inflate the peer's timeout. *)
+        match !t_ref with Some t -> Heartbeat.confirm t.hb src | None -> ())
       ~tracer:config.tracer ?metrics:config.metrics ~hostile:config.hostile
       ~backpressure:config.backpressure ~max_frame:config.max_frame
       ~flush_interval:config.flush_interval ()
@@ -920,7 +1019,7 @@ let create loop ~me ~listen_fd ~peers ~payload_codec ?(config = default_config)
         (match config.metrics with
         | None -> Metrics.Histogram.detached ()
         | Some reg -> Metrics.histogram reg ~labels:node_label "rt_merge_seconds");
-      arrivals = Hashtbl.create 64;
+      origins = Int_tbl.create 8;
     }
   in
   t_ref := Some t;
@@ -1001,17 +1100,26 @@ let create loop ~me ~listen_fd ~peers ~payload_codec ?(config = default_config)
          last — floors and lease extensions ride it for free. *)
       ignore
         (Loop.every loop ~period:0.05 (fun () ->
-             Wal.sync w;
+             wal_sync t w;
              t.durable_leased <- t.leased;
              not t.stopped)
           : Loop.timer));
   t
 
-let shutdown t =
+let stop t ~durable =
   if not t.stopped then begin
     t.stopped <- true;
     Heartbeat.stop t.hb;
     Hashtbl.iter (fun _ inst -> Ct.stop inst) t.instances;
     Tcp_mesh.close t.mesh;
-    match t.wal with Some w -> Wal.close w | None -> ()
+    match t.wal with
+    | Some w when durable ->
+        append_floors t w;
+        Wal.close w
+    | Some w -> Wal.abandon w
+    | None -> ()
   end
+
+let shutdown t = stop t ~durable:true
+
+let crash t = stop t ~durable:false

@@ -101,7 +101,7 @@ val default_config : config
     stability gossip every second, no park timeout, telemetry off,
     1 ms flush interval, default hostile policy, divergence healing
     off, default backpressure and slow-member policies, 8 MiB max
-    frame. *)
+    frame, 50 ms WAL group commit. *)
 
 val create :
   Loop.t ->
@@ -124,7 +124,10 @@ val create :
 
     [data_dir] makes the node durable: a {!Wal} in that directory
     records installed views, per-sender delivery floors, and a
-    sequence-number lease. A node created over a directory that
+    sequence-number lease. Floors are coalesced to one record per
+    sender per group commit, appended before every sync and before
+    each durable [Install] record, so every delivery made before a
+    completed sync is recoverable. A node created over a directory that
     already holds a log is a {e restarted incarnation}: it comes up as
     a joiner (not a member — its previous streams died with it), nags
     the peers with JOIN requests until some member admits it into the
@@ -233,6 +236,11 @@ val delivery_latency : 'p t -> Svs_telemetry.Metrics.Histogram.t
 (** Wall-clock seconds from message acceptance to application
     delivery at this node. *)
 
+val pending_stamps : 'p t -> int
+(** Arrival stamps held for messages received but not yet delivered.
+    A message purged from the queue loses its stamp at the next
+    delivery from its sender. For tests only. *)
+
 val pending_to : 'p t -> dst:int -> int
 (** Outbound bytes buffered towards a peer (sender-side buffer). *)
 
@@ -251,6 +259,12 @@ val status_json : 'p t -> string
     totals and per-peer link condition. What an admin [/status]
     endpoint serves. *)
 
+val crash : 'p t -> unit
+(** {!shutdown}, except the WAL's un-synced tail is dropped instead of
+    synced ({!Wal.abandon}): what a process death between two group
+    commits leaves behind. For crash-recovery tests. *)
+
 val shutdown : 'p t -> unit
 (** Close all sockets and stop the node's timers (a crash, from the
-    group's point of view). *)
+    group's point of view). The WAL is synced first, delivery floors
+    included, so a restart recovers the last delivered floor. *)

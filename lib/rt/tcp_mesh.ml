@@ -179,6 +179,7 @@ type t = {
   outgoing : (int * outgoing) list;
   mutable incoming : incoming list;
   on_frame : src:int -> Codec.Slice.t -> unit;
+  on_hello : src:int -> unit;
   mutable closed : bool;
   tracer : Trace.t;
   dial : dial_policy;
@@ -582,6 +583,7 @@ let rec drain_frames t inc =
               (match List.assoc_opt peer t.outgoing with
               | Some (out : outgoing) when out.broken -> forget_peer t ~dst:peer
               | _ -> ());
+              t.on_hello ~src:peer;
               drain_frames t inc
           | None ->
               (* First frame must be the dialer's id; anything else is
@@ -621,7 +623,8 @@ let on_accept t () =
   | exception Unix.Unix_error ((Unix.EWOULDBLOCK | Unix.EAGAIN), _, _) -> ()
   | exception Unix.Unix_error (_, _, _) -> ()
 
-let create loop ~me ~listen_fd ~peers ~on_frame ?(tracer = Trace.nop) ?metrics
+let create loop ~me ~listen_fd ~peers ~on_frame ?(on_hello = fun ~src:_ -> ())
+    ?(tracer = Trace.nop) ?metrics
     ?(dial = default_dial_policy) ?(hostile = default_hostile_policy)
     ?(backpressure = default_backpressure) ?(max_frame = 8 * 1024 * 1024)
     ?(flush_interval = 0.001) () =
@@ -675,6 +678,7 @@ let create loop ~me ~listen_fd ~peers ~on_frame ?(tracer = Trace.nop) ?metrics
       outgoing;
       incoming = [];
       on_frame;
+      on_hello;
       closed = false;
       tracer;
       dial;

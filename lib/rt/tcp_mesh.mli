@@ -130,6 +130,7 @@ val create :
   listen_fd:Unix.file_descr ->
   peers:(int * Unix.sockaddr) list ->
   on_frame:(src:int -> Svs_codec.Codec.Slice.t -> unit) ->
+  ?on_hello:(src:int -> unit) ->
   ?tracer:Svs_telemetry.Trace.t ->
   ?metrics:Svs_telemetry.Metrics.t ->
   ?dial:dial_policy ->
@@ -151,6 +152,11 @@ val create :
     [on_frame] receives each inner frame as a borrowed slice into the
     connection's inbound buffer: decode (or copy) before returning,
     never retain the slice.
+
+    [on_hello] runs when a peer's hello opens a new inbound stream,
+    before any of that stream's frames reach [on_frame]. A peer dials
+    again only once its previous stream is gone, so a hello heard
+    while the peer was believed dead marks a restarted incarnation.
 
     [flush_interval] (seconds, default 1 ms) is the batching horizon:
     sends accumulate in a per-peer batch that is sealed and written on

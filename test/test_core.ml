@@ -408,6 +408,59 @@ let test_proto_voluntary_leave () =
   Alcotest.(check (list int)) "survivors" [ 0; 1 ]
     (Protocol.current_view (List.hd procs).p).View.members
 
+(* Allocation budget of the per-message path: three in-memory
+   protocols, 10k unannotated multicasts routed and delivered at every
+   member, stability gossip every 1000 — the loop of svsbench's
+   protocol replay. [Gc.minor_words] is deterministic for a fixed
+   loop, so the ceiling cannot flake; it sits 15% above the measured
+   figure (see CHANGES.md). *)
+let alloc_budget_words_per_msg = 196.0
+
+let test_proto_alloc_budget () =
+  let members = [ 0; 1; 2 ] in
+  let procs =
+    Array.init 3 (fun me ->
+        Protocol.create ~me ~initial_view:(View.initial ~members) ~suspects:(fun _ -> false) ())
+  in
+  let rec route p =
+    List.iter
+      (function
+        | Types.Send { dst; wire } ->
+            Protocol.receive procs.(dst) ~src:p wire;
+            route dst
+        | _ -> ())
+      (Protocol.take_outputs procs.(p))
+  in
+  let rec pull p = match Protocol.deliver procs.(p) with Some _ -> pull p | None -> () in
+  let n = 10_000 in
+  let w0 = Gc.minor_words () in
+  for i = 0 to n - 1 do
+    ignore (Protocol.multicast procs.(0) i);
+    route 0;
+    for p = 0 to 2 do
+      pull p
+    done;
+    if (i + 1) mod 1000 = 0 then
+      for p = 0 to 2 do
+        Protocol.gossip_stability procs.(p);
+        route p
+      done
+  done;
+  let per_msg = (Gc.minor_words () -. w0) /. float_of_int n in
+  Printf.printf "protocol replay: %.1f minor words/msg (ceiling %.1f)\n" per_msg
+    alloc_budget_words_per_msg;
+  Alcotest.(check bool)
+    (Printf.sprintf "%.1f minor words/msg within %.1f" per_msg alloc_budget_words_per_msg)
+    true
+    (per_msg <= alloc_budget_words_per_msg);
+  (* Every member heard every other's floors after the last round:
+     everything delivered is stable and was trimmed. *)
+  Array.iter
+    (fun pr ->
+      Alcotest.(check int) "all trimmed" n (Protocol.stable_trimmed pr);
+      Alcotest.(check int) "nothing left for PRED" 0 (List.length (Protocol.accepted_in_view pr)))
+    procs
+
 let test_proto_deterministic () =
   (* Identical input sequences produce identical output sequences. *)
   let run () =
@@ -1402,6 +1455,7 @@ let () =
           Alcotest.test_case "local-pred tracking" `Quick test_proto_local_pred_tracking;
           Alcotest.test_case "voluntary leave" `Quick test_proto_voluntary_leave;
           Alcotest.test_case "deterministic" `Quick test_proto_deterministic;
+          Alcotest.test_case "allocation budget" `Quick test_proto_alloc_budget;
           q purge_matches_fixpoint_model;
         ] );
       ( "checker",

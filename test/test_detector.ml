@@ -157,6 +157,38 @@ let test_heartbeat_timeout_cap () =
     config.Heartbeat.max_timeout
     (Heartbeat.timeout_of rig.monitor 0)
 
+let test_heartbeat_confirmed_suspicion_keeps_timeout () =
+  (* Churn: the peer crashes, restarts, and its new incarnation shows
+     itself (confirming the suspicion) before it beats again. Twelve
+     cycles leave the timeout where it started; a suspicion nobody
+     confirmed — the peer was merely late — still counts as false and
+     ratchets. *)
+  let rig = make_rig () in
+  let before = Heartbeat.timeout_of rig.monitor 0 in
+  let outage ~confirm =
+    let t0 = Engine.now rig.engine in
+    Network.disconnect rig.net 0 1;
+    Engine.run ~until:(t0 +. 1.5) rig.engine;
+    Alcotest.(check bool) "suspected while gone" true (Heartbeat.suspects rig.monitor 0);
+    if confirm then Heartbeat.confirm rig.monitor 0;
+    Network.reconnect rig.net 0 1;
+    Engine.run ~until:(t0 +. 2.5) rig.engine;
+    Alcotest.(check bool) "rescinded on return" false (Heartbeat.suspects rig.monitor 0)
+  in
+  Engine.run ~until:1.0 rig.engine;
+  for _ = 1 to 12 do
+    outage ~confirm:true
+  done;
+  Alcotest.(check (float 1e-9)) "confirmed suspicions keep the timeout" before
+    (Heartbeat.timeout_of rig.monitor 0);
+  (* A confirmation while the peer is trusted has nothing to confirm:
+     it does not carry over to the next suspicion. *)
+  Heartbeat.confirm rig.monitor 0;
+  outage ~confirm:false;
+  Alcotest.(check (float 1e-9)) "a false suspicion still ratchets"
+    (before +. Heartbeat.default_config.timeout_increment)
+    (Heartbeat.timeout_of rig.monitor 0)
+
 let test_heartbeat_stop () =
   let rig = make_rig () in
   Engine.run ~until:1.0 rig.engine;
@@ -184,6 +216,8 @@ let () =
           Alcotest.test_case "eventual accuracy" `Quick test_heartbeat_eventual_accuracy_with_slow_links;
           Alcotest.test_case "injected silence" `Quick test_heartbeat_injected_silence;
           Alcotest.test_case "timeout cap" `Quick test_heartbeat_timeout_cap;
+          Alcotest.test_case "confirmed suspicion keeps timeout" `Quick
+            test_heartbeat_confirmed_suspicion_keeps_timeout;
           Alcotest.test_case "stop" `Quick test_heartbeat_stop;
         ] );
     ]

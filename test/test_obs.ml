@@ -499,11 +499,181 @@ let shed_walk_sound =
       && List.for_all live_data victims
       && never_stranded)
 
+(* --- Purge_index --- *)
+
+module Purge_index = Svs_obs.Purge_index
+
+(* The protocol's insert: plan, remove the victims, add unless the
+   fresh message is itself obsolete. Returns the purged sns. *)
+let pi_insert idx ~view ~sn ann =
+  let id = mid 0 sn in
+  let victims, drop = Purge_index.plan idx ~view ~id ~ann in
+  List.iter
+    (fun (v : int Purge_index.victim) ->
+      Purge_index.remove idx ~view ~id:v.Purge_index.victim_id ~ann:v.Purge_index.victim_ann)
+    victims;
+  if not drop then Purge_index.add idx ~view ~id ~ann sn ~seq:sn;
+  (List.map (fun (v : int Purge_index.victim) -> v.Purge_index.victim_handle) victims, drop)
+
+(* 1000 drain/refill cycles over 50 view installs. Each view's last
+   batch stays queued across the next install and drains one cycle
+   later, as a slow consumer's would. The held states never exceed the
+   views with queued entries plus the newest, and [cardinal] matches a
+   model queue throughout. *)
+let test_purge_index_lifetime () =
+  let idx = Purge_index.create () in
+  let queued = Queue.create () in
+  let count = Hashtbl.create 8 in
+  let live view = Option.value ~default:0 (Hashtbl.find_opt count view) in
+  let bump view d = Hashtbl.replace count view (live view + d) in
+  let check_state () =
+    let live_views = Hashtbl.fold (fun _ c acc -> if c > 0 then acc + 1 else acc) count 0 in
+    Alcotest.(check bool)
+      (Printf.sprintf "%d states held, %d views queued" (Purge_index.views_retained idx) live_views)
+      true
+      (Purge_index.views_retained idx <= live_views + 1);
+    Hashtbl.iter
+      (fun view c -> Alcotest.(check int) "cardinal exact" c (Purge_index.cardinal idx ~view))
+      count
+  in
+  let drain_while p =
+    while (not (Queue.is_empty queued)) && p (Queue.peek queued) do
+      let view, sn, ann = Queue.pop queued in
+      Purge_index.remove idx ~view ~id:(mid 0 sn) ~ann;
+      bump view (-1)
+    done
+  in
+  let drain_all () = drain_while (fun _ -> true) in
+  let sn = ref 0 in
+  for cycle = 0 to 999 do
+    let view = cycle / 20 in
+    for _ = 1 to 5 do
+      incr sn;
+      (* Tag lineage 1 purges its previous value; the rest stay. *)
+      let ann = if !sn mod 3 = 0 then Annotation.Tag 1 else Annotation.Unrelated in
+      let purged, drop = pi_insert idx ~view ~sn:!sn ann in
+      Alcotest.(check bool) "never obsolete on arrival" false drop;
+      if purged <> [] then begin
+        let keep = Queue.create () in
+        Queue.iter
+          (fun ((v, s, _) as e) -> if List.mem s purged then bump v (-1) else Queue.push e keep)
+          queued;
+        Queue.clear queued;
+        Queue.transfer keep queued
+      end;
+      Queue.push (view, !sn, ann) queued;
+      bump view 1
+    done;
+    check_state ();
+    (* The previous view's held-over batch drains behind the new one. *)
+    if cycle > 0 && cycle mod 20 = 0 then begin
+      Alcotest.(check int) "old and new view held" 2 (Purge_index.views_retained idx);
+      drain_while (fun (v, _, _) -> v < view);
+      check_state ();
+      Alcotest.(check int) "drained old view dropped" 1 (Purge_index.views_retained idx)
+    end;
+    if cycle mod 20 <> 19 then begin
+      drain_all ();
+      check_state ()
+    end
+  done;
+  drain_all ();
+  check_state ();
+  Alcotest.(check int) "only the newest view's state is left" 1 (Purge_index.views_retained idx)
+
+(* No victims, no allocation: the common case of every insert and of
+   the receive-path cover test. *)
+let test_purge_index_plan_allocation_free () =
+  let idx = Purge_index.create () in
+  let kenum = Bitvec.create ~k:4 in
+  Bitvec.set kenum 2;
+  List.iter
+    (fun (sn, ann) -> ignore (pi_insert idx ~view:0 ~sn ann : int list * bool))
+    [
+      (1, Annotation.Unrelated);
+      (2, Annotation.Tag 1);
+      (3, Annotation.Enum [ mid 1 0 ]);
+      (4, Annotation.Kenum kenum);
+    ];
+  let fresh =
+    [|
+      (mid 0 10, Annotation.Unrelated);
+      (mid 0 11, Annotation.Tag 2);
+      (mid 0 12, Annotation.Enum [ mid 2 5; mid 0 7 ]);
+      (mid 0 13, Annotation.Kenum kenum);
+      (mid 1 1, Annotation.Unrelated);
+    |]
+  in
+  let calls = 1000 in
+  let w0 = Gc.minor_words () in
+  for i = 1 to calls do
+    let id, ann = fresh.(i mod Array.length fresh) in
+    let victims, _ = Purge_index.plan idx ~view:0 ~id ~ann in
+    assert (victims = []);
+    assert (not (Purge_index.obsoleted idx ~view:0 ~id ~ann))
+  done;
+  let words = Gc.minor_words () -. w0 in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.0f minor words over %d plans" words calls)
+    true (words < 64.0)
+
+(* A sender whose queued sns span more than the ring allows (an old
+   entry stuck far behind the stream) falls back to a table and keeps
+   answering every probe. *)
+let test_purge_index_sparse_sender () =
+  let idx = Purge_index.create () in
+  ignore (pi_insert idx ~view:0 ~sn:0 Annotation.Unrelated : int list * bool);
+  for sn = 1 to 70_000 do
+    let purged, _ = pi_insert idx ~view:0 ~sn (Annotation.Tag 1) in
+    if purged <> (if sn = 1 then [] else [ sn - 1 ]) then
+      Alcotest.failf "sn %d purged [%s]" sn (String.concat ";" (List.map string_of_int purged))
+  done;
+  Alcotest.(check int) "old entry + latest tag" 2 (Purge_index.cardinal idx ~view:0);
+  Alcotest.(check bool) "late tag value is covered" true
+    (Purge_index.obsoleted idx ~view:0 ~id:(mid 0 5) ~ann:(Annotation.Tag 1));
+  let purged, _ = pi_insert idx ~view:0 ~sn:70_001 (Annotation.Enum [ mid 0 0 ]) in
+  Alcotest.(check (list int)) "enum reaches the old entry" [ 0 ] purged;
+  Purge_index.remove idx ~view:0 ~id:(mid 0 70_000) ~ann:(Annotation.Tag 1);
+  Purge_index.remove idx ~view:0 ~id:(mid 0 70_001) ~ann:(Annotation.Enum [ mid 0 0 ]);
+  Alcotest.(check int) "drained" 0 (Purge_index.cardinal idx ~view:0);
+  let purged, _ = pi_insert idx ~view:0 ~sn:70_002 (Annotation.Tag 1) in
+  Alcotest.(check (list int)) "a drained sender starts afresh" [] purged
+
+(* Tags and sparse sns come off the wire: keys that share their low
+   bits (multiples of 2^20) must still spread over the buckets, or every
+   probe walks one long chain. *)
+let test_purge_index_strided_keys () =
+  let n = 20_000 in
+  let tbl = Svs_obs.Int_tbl.create 16 in
+  for k = 1 to n do
+    Svs_obs.Int_tbl.replace tbl (k lsl 20) ()
+  done;
+  let stats = Svs_obs.Int_tbl.stats tbl in
+  Alcotest.(check bool)
+    (Printf.sprintf "longest bucket %d" stats.Hashtbl.max_bucket_length)
+    true
+    (stats.Hashtbl.max_bucket_length <= 12);
+  let idx = Purge_index.create () in
+  for k = 1 to n do
+    let purged, _ = pi_insert idx ~view:0 ~sn:(k lsl 20) (Annotation.Tag (k lsl 20)) in
+    if purged <> [] then Alcotest.failf "sn %d purged something" (k lsl 20)
+  done;
+  Alcotest.(check int) "every distinct tag queued" n (Purge_index.cardinal idx ~view:0);
+  let purged, _ = pi_insert idx ~view:0 ~sn:((n + 1) lsl 20) (Annotation.Tag (7 lsl 20)) in
+  Alcotest.(check (list int)) "a repeated tag purges its predecessor" [ 7 lsl 20 ] purged
+
 let () =
   let q = QCheck_alcotest.to_alcotest in
   Alcotest.run "svs_obs"
     [
       ("msg_id", [ Alcotest.test_case "ordering" `Quick test_msg_id_order ]);
+      ( "purge-index",
+        [
+          Alcotest.test_case "state lifetime" `Quick test_purge_index_lifetime;
+          Alcotest.test_case "sparse sender" `Quick test_purge_index_sparse_sender;
+          Alcotest.test_case "strided keys" `Quick test_purge_index_strided_keys;
+          Alcotest.test_case "plan allocation-free" `Quick test_purge_index_plan_allocation_free;
+        ] );
       ( "bitvec",
         [
           Alcotest.test_case "set/get" `Quick test_bitvec_set_get;

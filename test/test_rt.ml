@@ -907,6 +907,19 @@ let test_mesh_forget_peer_redials () =
   Tcp_mesh.close mesh0;
   Tcp_mesh.close mesh1
 
+(* The adaptive heartbeat timeout [node] keeps for [peer], as its
+   status JSON reports it. *)
+let hb_timeout_in_status node ~peer =
+  let status = Node.status_json node in
+  let key = Printf.sprintf "{\"peer\":%d," peer in
+  let from = Astring.String.find_sub ~sub:key status |> Option.get in
+  let field = "\"hb_timeout_s\":" in
+  let at =
+    (Astring.String.find_sub ~start:from ~sub:field status |> Option.get) + String.length field
+  in
+  let stop = String.index_from status at ',' in
+  float_of_string (String.sub status at (stop - at))
+
 let test_node_restart_rejoins () =
   (* The full recovery loop, live over TCP: a durable node crashes, the
      survivors exclude it, it restarts from its WAL at the same address,
@@ -1006,9 +1019,240 @@ let test_node_restart_rejoins () =
   Alcotest.(check (list int)) "second incarnation delivers only post-crash traffic"
     [ 11; 12; 13; 14; 15 ]
     (data_payloads deliveries.(2));
+  (* The group excluded the crashed incarnation, so the survivors'
+     suspicion of it was correct: the new incarnation's heartbeats
+     rescinded it without raising its timeout. *)
+  let initial = fast_heartbeats.Svs_detector.Heartbeat.initial_timeout in
+  Array.iter
+    (fun survivor ->
+      Alcotest.(check (float 1e-3)) "timeout of peer 2 unchanged" initial
+        (hb_timeout_in_status survivor ~peer:2))
+    [| nodes.(0); nodes.(1) |];
   Node.shutdown node2b;
   Node.shutdown nodes.(0);
   Node.shutdown nodes.(1)
+
+(* A live member whose heartbeats run later than the others' timeout
+   is excluded, parks, and rejoins. Its suspicion was false, so every
+   exclusion must still raise its timeout until the detector stops
+   suspecting it: treating exclusion itself as proof of a crash would
+   exclude and readmit it forever at the initial timeout. *)
+let test_node_late_member_timeout_ratchets () =
+  let loop = Loop.create () in
+  let listeners =
+    List.init 3 (fun i ->
+        let fd, addr = Tcp_mesh.listener (Unix.ADDR_INET (loopback, 0)) in
+        (i, fd, addr))
+  in
+  let peers = List.map (fun (i, _, addr) -> (i, addr)) listeners in
+  let late_period = 0.6 in
+  let nodes =
+    Array.of_list
+      (List.map
+         (fun (i, fd, _) ->
+           let heartbeat =
+             if i = 2 then { fast_heartbeats with Svs_detector.Heartbeat.period = late_period }
+             else fast_heartbeats
+           in
+           let config = { node_config with Node.heartbeat; park_timeout = Some 0.5 } in
+           let node =
+             Node.create loop ~me:i ~listen_fd:fd ~peers ~payload_codec:Wire_codec.int_codec
+               ~config ()
+           in
+           ignore
+             (Loop.every loop ~period:0.005 (fun () ->
+                  ignore (Node.deliver_all node : int Types.delivery list);
+                  true)
+               : Loop.timer);
+           node)
+         listeners)
+  in
+  let settled () =
+    Array.for_all
+      (fun survivor -> hb_timeout_in_status survivor ~peer:2 > late_period)
+      [| nodes.(0); nodes.(1) |]
+    && Array.for_all (fun node -> View.mem 2 (Node.view node)) nodes
+  in
+  Loop.run ~until:settled ~timeout:20.0 loop;
+  Alcotest.(check bool)
+    (Printf.sprintf "late member was excluded (%d suspicions, view %d)"
+       (Node.suspicions nodes.(0)) (Node.view nodes.(0)).View.id)
+    true
+    ((Node.view nodes.(0)).View.id >= 2 && Node.suspicions nodes.(0) >= 1);
+  Array.iter
+    (fun survivor ->
+      let timeout = hb_timeout_in_status survivor ~peer:2 in
+      Alcotest.(check bool)
+        (Printf.sprintf "timeout of peer 2 grew past its period: %.3f" timeout)
+        true (timeout > late_period))
+    [| nodes.(0); nodes.(1) |];
+  Alcotest.(check bool) "late member readmitted" true (Node.is_member nodes.(2));
+  Array.iter Node.shutdown nodes
+
+(* Regression: a purged message's arrival stamp used to stay until the
+   next view change, so a long single-view run with a slow member
+   leaked one stamp per purged message. Stamps now leave at the next
+   delivery from the same sender. *)
+let test_node_purged_stamps_released () =
+  let loop = Loop.create () in
+  let nodes, deliveries = make_group ~consume_periods:[ 0.002; 0.002; 0.08 ] loop 3 in
+  let n = 200 in
+  ignore
+    (Loop.after loop ~delay:0.3 (fun () ->
+         for i = 1 to n do
+           ignore (Node.multicast nodes.(0) ~ann:(Annotation.Tag 7) i)
+         done));
+  let got_final () = Array.for_all (fun ds -> List.mem n (data_payloads ds)) deliveries in
+  Loop.run ~until:got_final ~timeout:15.0 loop;
+  Alcotest.(check bool)
+    (Printf.sprintf "slow node purged most (%d)" (Node.purged nodes.(2)))
+    true
+    (Node.purged nodes.(2) > n / 2);
+  Alcotest.(check int) "one view throughout" 0 (Node.view nodes.(2)).View.id;
+  Array.iteri
+    (fun i node ->
+      Alcotest.(check int)
+        (Printf.sprintf "node %d holds no stamps" i)
+        0 (Node.pending_stamps node))
+    nodes;
+  Array.iter Node.shutdown nodes
+
+(* Three members over loopback; node 2 is durable (its WAL in [dir])
+   and records every delivery. Every node pulls on a timer; node 2
+   also runs [on_deliverable] when the protocol queues something, and
+   [after_pull] (given everything it delivered so far, newest first)
+   after each of its timer pulls. *)
+let make_durable_group ?(on_deliverable = fun (_ : int Node.t) -> ())
+    ?(after_pull = fun (_ : int Node.t) _ -> ()) loop ~dir =
+  let listeners =
+    List.init 3 (fun i ->
+        let fd, addr = Tcp_mesh.listener (Unix.ADDR_INET (loopback, 0)) in
+        (i, fd, addr))
+  in
+  let peers = List.map (fun (i, _, addr) -> (i, addr)) listeners in
+  let deliveries = Array.make 3 [] in
+  let node2 = ref None in
+  let nodes =
+    Array.of_list
+      (List.map
+         (fun (i, fd, _) ->
+           let data_dir = if i = 2 then Some dir else None in
+           let on_deliverable =
+             if i = 2 then Some (fun () -> Option.iter on_deliverable !node2) else None
+           in
+           let node =
+             Node.create loop ~me:i ~listen_fd:fd ~peers ~payload_codec:Wire_codec.int_codec
+               ~config:node_config ?on_deliverable ?data_dir ()
+           in
+           if i = 2 then node2 := Some node;
+           ignore
+             (Loop.every loop ~period:0.005 (fun () ->
+                  List.iter
+                    (fun d -> deliveries.(i) <- d :: deliveries.(i))
+                    (Node.deliver_all node);
+                  if i = 2 then after_pull node deliveries.(2);
+                  true)
+               : Loop.timer);
+           node)
+         listeners)
+  in
+  (nodes, deliveries)
+
+(* Publish [k] messages from node 0 and wait until node 2 delivered
+   [total] in all. Node 0's sns start at 0, so node 2's floor for it
+   is then [total - 1]. *)
+let publish_and_deliver loop nodes deliveries ~k ~total =
+  for _ = 1 to k do
+    ignore (Node.multicast nodes.(0) 0)
+  done;
+  Loop.run
+    ~until:(fun () -> List.length (data_payloads deliveries.(2)) >= total)
+    ~timeout:10.0 loop;
+  Alcotest.(check int) "node 2 delivered" total (List.length (data_payloads deliveries.(2)))
+
+let recovered_floor dir =
+  let w, r = wal_open ~dir ~me:2 () in
+  Wal.close w;
+  (r, List.assoc_opt 0 r.Wal.floors)
+
+(* Coalesced WAL floors: a group commit makes every delivery before it
+   durable, even when the process dies before the next one. *)
+let test_node_wal_floor_after_sync () =
+  let loop = Loop.create () in
+  let dir = temp_dir () in
+  let nodes, deliveries = make_durable_group loop ~dir in
+  Loop.run ~timeout:0.3 loop;
+  publish_and_deliver loop nodes deliveries ~k:10 ~total:10;
+  (* Several group commits (every 50 ms) pass with nothing new
+     delivered. *)
+  Loop.run ~timeout:0.2 loop;
+  publish_and_deliver loop nodes deliveries ~k:10 ~total:20;
+  Node.crash nodes.(2);
+  let _, floor = recovered_floor dir in
+  (match floor with
+  | Some f ->
+      Alcotest.(check bool)
+        (Printf.sprintf "floor %d covers the synced deliveries, none beyond" f)
+        true
+        (f >= 9 && f <= 19)
+  | None -> Alcotest.fail "synced floor lost");
+  Node.shutdown nodes.(0);
+  Node.shutdown nodes.(1)
+
+(* The node shuts down in the very timer turn that delivered the last
+   message, so no group commit can cover that delivery: only the
+   shutdown's own floor append makes it recoverable. *)
+let test_node_wal_floor_at_shutdown () =
+  let loop = Loop.create () in
+  let dir = temp_dir () in
+  let nodes, deliveries =
+    make_durable_group loop ~dir ~after_pull:(fun node ds ->
+        if List.length (data_payloads ds) >= 20 then Node.shutdown node)
+  in
+  Loop.run ~timeout:0.3 loop;
+  publish_and_deliver loop nodes deliveries ~k:20 ~total:20;
+  Alcotest.(check (option int)) "exact last delivered floor" (Some 19) (snd (recovered_floor dir));
+  Node.shutdown nodes.(0);
+  Node.shutdown nodes.(1)
+
+let last_data_sn ds =
+  List.find_map (function Types.Data d -> Some d.Types.id.Svs_obs.Msg_id.sn | _ -> None) ds
+
+(* The durable Install carries the floors delivered before it. Node 0
+   publishes every 5 ms through a view change, so node 2 keeps
+   delivering right up to the install; node 2 crashes in the drain
+   that installed the view, before any later group commit, so the
+   floors it recovers are exactly those the Install made durable. *)
+let test_node_wal_install_after_floors () =
+  let loop = Loop.create () in
+  let dir = temp_dir () in
+  let crashed_at = ref None in
+  let nodes, deliveries =
+    make_durable_group loop ~dir ~on_deliverable:(fun node ->
+        if !crashed_at = None && (Node.view node).View.id >= 1 then begin
+          crashed_at := Some (Node.view node).View.id;
+          Node.crash node
+        end)
+  in
+  Loop.run ~timeout:0.3 loop;
+  ignore
+    (Loop.every loop ~period:0.005 (fun () ->
+         ignore (Node.multicast nodes.(0) 0 : (int Types.data, _) result);
+         !crashed_at = None)
+      : Loop.timer);
+  Loop.run
+    ~until:(fun () -> List.length (data_payloads deliveries.(2)) >= 20)
+    ~timeout:10.0 loop;
+  Node.shutdown nodes.(1);
+  Loop.run ~until:(fun () -> !crashed_at <> None) ~timeout:15.0 loop;
+  Alcotest.(check bool) "crashed right after installing" true (!crashed_at <> None);
+  let r, floor = recovered_floor dir in
+  (match r.Wal.view with
+  | Some v -> Alcotest.(check bool) "install recovered" true (v.View.id >= 1)
+  | None -> Alcotest.fail "install lost");
+  Alcotest.(check (option int)) "floors delivered before the install recovered"
+    (last_data_sn deliveries.(2)) floor;
+  Node.shutdown nodes.(0)
 
 (* Slow-member escalation: a member that stops reading while
    unsheddable (Unrelated) traffic floods in pins the publisher's link
@@ -1538,5 +1782,11 @@ let () =
           Alcotest.test_case "total order over TCP" `Slow test_total_order_over_tcp;
           Alcotest.test_case "divergence self-heals" `Slow test_node_divergence_self_heals;
           Alcotest.test_case "slow member escalation" `Slow test_node_slow_member_escalation;
+          Alcotest.test_case "purged stamps released" `Slow test_node_purged_stamps_released;
+          Alcotest.test_case "late member timeout ratchets" `Slow
+            test_node_late_member_timeout_ratchets;
+          Alcotest.test_case "WAL floor after sync" `Slow test_node_wal_floor_after_sync;
+          Alcotest.test_case "WAL floor at shutdown" `Slow test_node_wal_floor_at_shutdown;
+          Alcotest.test_case "WAL install after floors" `Slow test_node_wal_install_after_floors;
         ] );
     ]
