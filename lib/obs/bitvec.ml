@@ -63,14 +63,54 @@ let or_shifted ~into src ~shift =
 
 let union ~into src = or_shifted ~into src ~shift:0
 
-let distances t =
-  let acc = ref [] in
-  for d = t.width downto 1 do
-    if get t d then acc := d :: !acc
-  done;
-  !acc
+(* Position of the lowest set bit of a nonzero word. *)
+let lowest_bit w =
+  let n = ref 0 and w = ref w in
+  if !w land 0xFFFF_FFFF = 0 then begin
+    n := 32;
+    w := !w lsr 32
+  end;
+  if !w land 0xFFFF = 0 then begin
+    n := !n + 16;
+    w := !w lsr 16
+  end;
+  if !w land 0xFF = 0 then begin
+    n := !n + 8;
+    w := !w lsr 8
+  end;
+  if !w land 0xF = 0 then begin
+    n := !n + 4;
+    w := !w lsr 4
+  end;
+  if !w land 0x3 = 0 then begin
+    n := !n + 2;
+    w := !w lsr 2
+  end;
+  if !w land 0x1 = 0 then !n + 1 else !n
 
-let cardinal t = List.length (distances t)
+(* Bits above [width] are always clear (every writer drops or truncates
+   them), so the first set bit found is a distance within 1..k. *)
+let rec next_in words wi =
+  if wi >= Array.length words then 0
+  else
+    let w = words.(wi) in
+    if w = 0 then next_in words (wi + 1) else (wi * word_bits) + lowest_bit w + 1
+
+let next t d =
+  let i = Int.max d 1 - 1 in
+  if i >= t.width then 0
+  else
+    let wi = i / word_bits in
+    let w = t.words.(wi) lsr (i - (wi * word_bits)) in
+    if w <> 0 then i + lowest_bit w + 1 else next_in t.words (wi + 1)
+
+let distances t =
+  let rec go d acc = match next t d with 0 -> List.rev acc | d -> go (d + 1) (d :: acc) in
+  go 1 []
+
+let cardinal t =
+  let rec go d n = match next t d with 0 -> n | d -> go (d + 1) (n + 1) in
+  go 1 0
 
 let equal a b =
   a.width = b.width
@@ -82,28 +122,35 @@ let equal a b =
   in
   check 0
 
-let to_bytes t =
-  let nbytes = (t.width + 7) / 8 in
-  String.init nbytes (fun byte ->
-      let v = ref 0 in
-      for bit = 0 to 7 do
-        let d = (byte * 8) + bit + 1 in
-        if get t d then v := !v lor (1 lsl bit)
-      done;
-      Char.chr !v)
+let byte_length t = (t.width + 7) / 8
+
+(* Byte [b] holds bit indices 8b..8b+7; when they straddle a word
+   boundary its high part comes from the next word (which always
+   exists: [words] has a spare word past the last one in use). *)
+let byte t b =
+  let i = 8 * b in
+  let wi = i / word_bits in
+  let off = i - (wi * word_bits) in
+  let v = t.words.(wi) lsr off in
+  let v = if off > word_bits - 8 then v lor (t.words.(wi + 1) lsl (word_bits - off)) else v in
+  v land 0xFF
+
+let or_byte t b v =
+  if b < 0 || b >= byte_length t then invalid_arg "Bitvec.or_byte: byte out of range";
+  let i = 8 * b in
+  (* Bits at or above [width] (distances > k) are dropped. *)
+  let v = if i + 8 > t.width then v land ((1 lsl (t.width - i)) - 1) else v land 0xFF in
+  let wi = i / word_bits in
+  let off = i - (wi * word_bits) in
+  t.words.(wi) <- t.words.(wi) lor ((v lsl off) land word_mask);
+  if off > word_bits - 8 then t.words.(wi + 1) <- t.words.(wi + 1) lor (v lsr (word_bits - off))
+
+let to_bytes t = String.init (byte_length t) (fun b -> Char.chr (byte t b))
 
 let of_bytes ~k s =
-  let nbytes = (k + 7) / 8 in
-  if String.length s <> nbytes then invalid_arg "Bitvec.of_bytes: wrong length";
+  if String.length s <> (k + 7) / 8 then invalid_arg "Bitvec.of_bytes: wrong length";
   let t = create ~k in
-  String.iteri
-    (fun byte c ->
-      let v = Char.code c in
-      for bit = 0 to 7 do
-        let d = (byte * 8) + bit + 1 in
-        if v land (1 lsl bit) <> 0 && d <= k then set t d
-      done)
-    s;
+  String.iteri (fun b c -> or_byte t b (Char.code c)) s;
   t
 
 let pp ppf t =

@@ -35,6 +35,12 @@ val or_shifted : into:t -> t -> shift:int -> unit
 val union : into:t -> t -> unit
 (** [or_shifted ~shift:0]. *)
 
+val next : t -> int -> int
+(** [next t d] is the least set distance [>= d], or [0] when there is
+    none. The walk costs one test per word it crosses plus a few word
+    operations per set bit, whatever [k]: iterate with
+    [next t (d + 1)] from [next t 1] until it returns [0]. *)
+
 val distances : t -> int list
 (** Set distances, ascending. *)
 
@@ -44,10 +50,24 @@ val equal : t -> t -> bool
 
 val to_bytes : t -> string
 (** Packed little-endian bitmap, [ceil (k/8)] bytes — the wire form
-    whose compactness §4.2 argues for. *)
+    whose compactness §4.2 argues for: distance [d] is bit
+    [(d-1) mod 8] of byte [(d-1)/8]. *)
 
 val of_bytes : k:int -> string -> t
 (** Inverse of {!to_bytes}; the string must be exactly [ceil (k/8)]
-    bytes. *)
+    bytes. Bits for distances above [k] in the last byte are dropped. *)
+
+val byte_length : t -> int
+(** [ceil (k/8)], the length of {!to_bytes}. *)
+
+val byte : t -> int -> int
+(** [byte t b] is byte [b] of {!to_bytes}, read straight out of the
+    words (for [0 <= b < byte_length t]). *)
+
+val or_byte : t -> int -> int -> unit
+(** [or_byte t b v] sets the bits of byte value [v] at byte [b] of the
+    packed form, dropping those for distances above [k]. Filling every
+    byte of a {!create}d vector this way builds {!of_bytes}.
+    @raise Invalid_argument when [b] is outside [0 .. byte_length t - 1]. *)
 
 val pp : Format.formatter -> t -> unit

@@ -22,7 +22,9 @@ let write_annotation w = function
   | Annotation.Kenum bm ->
       W.uint8 w 3;
       W.varint w (Bitvec.k bm);
-      W.raw w (Bitvec.to_bytes bm)
+      for b = 0 to Bitvec.byte_length bm - 1 do
+        W.uint8 w (Bitvec.byte bm b)
+      done
 
 let read_annotation r =
   match R.uint8 r with
@@ -31,5 +33,12 @@ let read_annotation r =
   | 2 -> Annotation.Enum (R.list r read_msg_id)
   | 3 ->
       let k = R.varint r in
-      Annotation.Kenum (Bitvec.of_bytes ~k (R.raw r ((k + 7) / 8)))
+      if k < 0 then raise (Codec.Malformed "negative k-enumeration width");
+      (* Check the length before allocating: k comes off the wire. *)
+      if R.remaining r < (k / 8) + Bool.to_int (k land 7 <> 0) then raise Codec.Truncated;
+      let bm = Bitvec.create ~k in
+      for b = 0 to Bitvec.byte_length bm - 1 do
+        Bitvec.or_byte bm b (R.uint8 r)
+      done;
+      Annotation.Kenum bm
   | n -> raise (Codec.Malformed (Printf.sprintf "annotation tag %d" n))

@@ -278,14 +278,18 @@ let rec enum_victims vs (id : Msg_id.t) acc = function
       in
       enum_victims vs id acc rest
 
-let rec kenum_victims st (id : Msg_id.t) bm d acc =
-  if d > Bitvec.k bm then acc
-  else
-    let acc =
-      if Bitvec.get bm d then match find st (id.sn - d) with Nil -> acc | c -> c :: acc
-      else acc
-    in
-    kenum_victims st id bm (d + 1) acc
+(* One ring probe per set distance [d] that can reach a queued sn
+   ([lo <= sn - d <= hwm]); the bitmap walk skips clear words whole. *)
+let rec kenum_walk st sn bm d lim acc =
+  match Bitvec.next bm d with
+  | 0 -> acc
+  | d when d > lim -> acc
+  | d ->
+      let acc = match find st (sn - d) with Nil -> acc | c -> c :: acc in
+      kenum_walk st sn bm (d + 1) lim acc
+
+let kenum_victims st sn bm =
+  if st.count = 0 then [] else kenum_walk st sn bm (Int.max 1 (sn - st.hwm)) (sn - st.lo) []
 
 let keep_fresh = ([], false)
 
@@ -309,7 +313,7 @@ let plan (t : 'h t) ~view ~(id : Msg_id.t) ~ann =
         | Annotation.Tag _ -> (
             match tag with Entry e when e.id.Msg_id.sn < id.sn -> [ tag ] | Entry _ | Nil -> [])
         | Annotation.Enum preds -> enum_victims vs id [] preds
-        | Annotation.Kenum bm -> kenum_victims st id bm 1 []
+        | Annotation.Kenum bm -> kenum_victims st id.sn bm
       in
       let drop = covered st id ~tag in
       match victims with

@@ -8,7 +8,9 @@
     reachable by point lookups. A view's state is kept per sender:
 
     - the sender's queued entries, in a ring indexed by sequence
-      number ([Enum] and [Kenum] forward probes);
+      number ([Enum] and [Kenum] forward probes; a [Kenum] message
+      probes only its set distances that reach a queued sequence
+      number, walking its bitmap a word at a time);
     - a tag map holding the one queued entry per tag lineage ([Tag]
       both directions);
     - a reverse map from each of the sender's sequence numbers named

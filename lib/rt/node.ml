@@ -187,6 +187,7 @@ type 'p t = {
   mutable leased : int; (* lease ceiling appended to the WAL *)
   mutable durable_leased : int; (* lease ceiling known fsynced *)
   pkt_writer : Codec.Writer.t; (* reused for every outbound packet *)
+  mutable pkt_wire : 'p Types.wire option; (* the DATA wire [pkt_writer] holds *)
   on_synced : View.t -> string option -> unit;
   mesh : Tcp_mesh.t;
   payload_codec : 'p Wire_codec.payload_codec;
@@ -308,8 +309,15 @@ let wal_sync t w =
 
 let send_packet t ~dst packet =
   let w = t.pkt_writer in
-  Codec.Writer.clear w;
-  write_packet t.payload_codec w packet;
+  (* A multicast comes here once per peer with the same physical
+     [Wdata] value: encode it once and hand every peer those bytes. *)
+  let cached = match (packet, t.pkt_wire) with Proto wire, Some c -> wire == c | _ -> false in
+  if not cached then begin
+    t.pkt_wire <- None;
+    Codec.Writer.clear w;
+    write_packet t.payload_codec w packet;
+    match packet with Proto (Types.Wdata _ as wire) -> t.pkt_wire <- Some wire | _ -> ()
+  end;
   (* Annotated data frames are the ones semantic shedding may purge
      from a congested link's queue (a newer queued frame obsoleting
      them); everything else — control traffic, unannotated data — is
@@ -973,6 +981,7 @@ let create loop ~me ~listen_fd ~peers ~payload_codec ?(config = default_config)
       leased = recovered_next_sn;
       durable_leased = recovered_next_sn;
       pkt_writer = Codec.Writer.create ~initial_capacity:256 ();
+      pkt_wire = None;
       on_synced;
       mesh;
       payload_codec;

@@ -4,9 +4,9 @@
 # default (MODE=throughput) — the perf-trajectory bench: run
 #   bench/rt_throughput.exe, a closed-loop 3-node in-process cluster
 #   over loopback TCP, and write the root-level
-#   BENCH_rt_throughput.json with the before/after series
-#   (seed-baseline / flush-per-send / batched: msgs/s, p50/p99
-#   delivery latency, minor words allocated per message).
+#   BENCH_rt_throughput.json with two series measured in the same run
+#   (flush-per-send / batched: msgs/s, p50/p99 delivery latency, minor
+#   words allocated per message) and their speedup ratio.
 #
 #     scripts/bench_rt.sh
 #     DURATION=8 WINDOW=2048 scripts/bench_rt.sh

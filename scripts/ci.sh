@@ -148,7 +148,7 @@ if [ "${1:-}" = "bench-smoke" ] || [ "${1:-}" = "smoke" ]; then
   # the emitted JSON has the shape the perf trajectory relies on.
   bench_json=$(mktemp)
   dune exec bench/rt_throughput.exe -- --smoke --json "$bench_json"
-  for key in '"benchmark": "rt_throughput"' '"seed-baseline"' \
+  for key in '"benchmark": "rt_throughput"' \
              '"flush-per-send"' '"batched"' '"msgs_per_s"' '"p50_ms"' \
              '"p99_ms"' '"minor_words_per_msg"' '"speedup"'; do
     grep -q "$key" "$bench_json" || {

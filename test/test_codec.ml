@@ -220,6 +220,89 @@ let test_bitvec_bytes_size () =
   let b = Bitvec.create ~k:30 in
   Alcotest.(check int) "ceil(30/8) = 4 bytes" 4 (String.length (Bitvec.to_bytes b))
 
+(* The Kenum wire format, pinned against an independent packer: bit
+   d-1 of the bitmap is bit (d-1) mod 8 of byte (d-1)/8. The round-trip
+   property above cannot see a change that alters both directions the
+   same way. *)
+let reference_pack ~k ds =
+  let b = Bytes.make ((k + 7) / 8) '\000' in
+  List.iter
+    (fun d ->
+      let i = d - 1 in
+      Bytes.set b (i / 8) (Char.chr (Char.code (Bytes.get b (i / 8)) lor (1 lsl (i mod 8)))))
+    ds;
+  Bytes.to_string b
+
+let golden_patterns k =
+  let st = Random.State.make [| k |] in
+  let in_k ds = List.sort_uniq compare (List.filter (fun d -> d >= 1 && d <= k) ds) in
+  [
+    [];
+    List.init k (fun i -> i + 1);
+    in_k [ 1; 8; 9; 61; 62; 63; 64; 123; 124; 125; 126; k ];
+    in_k (List.init 6 (fun _ -> 1 + Random.State.int st (max 1 k)));
+    List.filter (fun d -> d mod 3 = 0) (List.init k (fun i -> i + 1));
+  ]
+
+let test_bitvec_golden () =
+  for k = 0 to 200 do
+    List.iter
+      (fun ds ->
+        let b = Bitvec.create ~k in
+        List.iter (Bitvec.set b) ds;
+        let expect = reference_pack ~k ds in
+        let name = Printf.sprintf "k=%d {%s}" k (String.concat "," (List.map string_of_int ds)) in
+        Alcotest.(check string) (name ^ " to_bytes") expect (Bitvec.to_bytes b);
+        let w = W.create () in
+        Svs_obs.Obs_codec.write_annotation w (Annotation.Kenum b);
+        let hdr = W.create () in
+        W.uint8 hdr 3;
+        W.varint hdr k;
+        Alcotest.(check string) (name ^ " wire") (W.contents hdr ^ expect) (W.contents w);
+        match Svs_obs.Obs_codec.read_annotation (R.of_string (W.contents w)) with
+        | Annotation.Kenum b' -> Alcotest.(check (list int)) (name ^ " decoded") ds (Bitvec.distances b')
+        | _ -> Alcotest.fail (name ^ ": kenum tag lost"))
+      (golden_patterns k)
+  done
+
+(* Bits above k in the last byte are not distances: decoding drops
+   them, in [of_bytes] and off the wire alike. *)
+let test_bitvec_stray_bits_dropped () =
+  for k = 1 to 200 do
+    let n = (k + 7) / 8 in
+    let s = String.make n '\255' in
+    let all = List.init k (fun i -> i + 1) in
+    let b = Bitvec.of_bytes ~k s in
+    Alcotest.(check (list int)) (Printf.sprintf "k=%d of_bytes" k) all (Bitvec.distances b);
+    Alcotest.(check string) (Printf.sprintf "k=%d repacked" k) (reference_pack ~k all) (Bitvec.to_bytes b);
+    let w = W.create () in
+    W.uint8 w 3;
+    W.varint w k;
+    W.raw w s;
+    match Svs_obs.Obs_codec.read_annotation (R.of_string (W.contents w)) with
+    | Annotation.Kenum b' ->
+        Alcotest.(check (list int)) (Printf.sprintf "k=%d read_annotation" k) all (Bitvec.distances b')
+    | _ -> Alcotest.fail "kenum tag lost"
+  done
+
+(* The width k comes off the wire: a negative one is malformed, and one
+   the remaining bytes cannot hold is truncated before any bitmap is
+   allocated for it. *)
+let test_kenum_hostile_width () =
+  let decode s = Svs_obs.Obs_codec.read_annotation (R.of_string s) in
+  let minus_one = "\003" ^ String.make 8 '\255' ^ "\127" in
+  Alcotest.(check bool) "k = -1 is malformed" true
+    (match decode minus_one with _ -> false | exception Codec.Malformed _ -> true);
+  List.iter
+    (fun k ->
+      let w = W.create () in
+      W.uint8 w 3;
+      W.varint w k;
+      W.raw w "\001";
+      Alcotest.(check bool) (Printf.sprintf "k = %d is truncated" k) true
+        (match decode (W.contents w) with _ -> false | exception Codec.Truncated -> true))
+    [ 9; 1 lsl 50; max_int ]
+
 (* --- wire messages --- *)
 
 let mid sender sn = Msg_id.make ~sender ~sn
@@ -371,6 +454,9 @@ let () =
       ( "bitvec-bytes",
         [
           Alcotest.test_case "packed size" `Quick test_bitvec_bytes_size;
+          Alcotest.test_case "golden wire format" `Quick test_bitvec_golden;
+          Alcotest.test_case "stray bits above k dropped" `Quick test_bitvec_stray_bits_dropped;
+          Alcotest.test_case "hostile k-enumeration width" `Quick test_kenum_hostile_width;
           q bitvec_bytes_property;
         ] );
       ( "wire",

@@ -1308,10 +1308,19 @@ type diff_kind = Dtag | Denum | Dkenum | Dmixed
    its sequence numbers from a shuffled pool, so ids never repeat but
    arrive out of order — which is what makes the reverse (drop-fresh)
    direction of every relation fire. Enum predecessors mix queued,
-   departed, future, cross-sender and self ids. *)
+   departed, future, cross-sender and self ids. The last sender moves
+   every fifth sn more than 2^16 up, so its queued sns span past the
+   index's ring and it runs in the sparse mode. K-enumeration widths
+   straddle the 62-bit words of a bitmap, and set bits sit at d = k
+   and on both sides of each word boundary. *)
+let far_gap = 1 lsl 17
+
+let kenum_widths = [| 1; 8; 61; 62; 63; 64; 124; 200 |]
+
 let gen_diff_ops ~kind ~seed ~n =
   let st = Random.State.make [| 0x9e3779b9; seed |] in
-  let nsenders = 3 in
+  let nsenders = 4 in
+  let sn_of sender v = if sender = nsenders - 1 && v mod 5 = 0 then v + far_gap else v in
   let pools =
     Array.init nsenders (fun _ ->
         let a = Array.init n (fun i -> i) in
@@ -1332,7 +1341,7 @@ let gen_diff_ops ~kind ~seed ~n =
       (* future: an sn its sender has not handed out yet *)
       let s = Random.State.int st nsenders in
       let a, k = pools.(s) in
-      if !k < n then Msg_id.make ~sender:s ~sn:a.(!k + Random.State.int st (n - !k))
+      if !k < n then Msg_id.make ~sender:s ~sn:(sn_of s a.(!k + Random.State.int st (n - !k)))
       else id
     end
     else if r < 80 then id (* self-reference: must never purge *)
@@ -1344,10 +1353,13 @@ let gen_diff_ops ~kind ~seed ~n =
       Annotation.Enum (List.init (Random.State.int st 4) (fun _ -> pick_pred id))
     in
     let kenum () =
-      let bm = Bitvec.create ~k:8 in
+      let k = kenum_widths.(Random.State.int st (Array.length kenum_widths)) in
+      let bm = Bitvec.create ~k in
       for _ = 1 to 1 + Random.State.int st 3 do
-        Bitvec.set bm (1 + Random.State.int st 8)
+        Bitvec.set bm (1 + Random.State.int st k)
       done;
+      if Random.State.int st 3 = 0 then Bitvec.set bm k;
+      if Random.State.bool st then List.iter (Bitvec.set bm) [ 61; 62; 63; 123; 124; 125 ];
       Annotation.Kenum bm
     in
     match kind with
@@ -1366,7 +1378,7 @@ let gen_diff_ops ~kind ~seed ~n =
       else begin
         let sender = Random.State.int st nsenders in
         let a, k = pools.(sender) in
-        let sn = a.(!k) in
+        let sn = sn_of sender a.(!k) in
         incr k;
         let id = Msg_id.make ~sender ~sn in
         let view = if Random.State.int st 100 < 10 then 1 else 0 in

@@ -79,6 +79,21 @@ let bitvec_shift_matches_naive =
       List.iter (fun d -> if d <= k && d + shift <= k then Bitvec.set expected (d + shift)) bits;
       Bitvec.equal into expected)
 
+(* The set-bit walk ([next] from any start) visits exactly the set
+   distances, checked against per-distance [get]. *)
+let bitvec_next_walk_matches =
+  QCheck.Test.make ~name:"next walk yields exactly the set distances" ~count:300
+    QCheck.(triple (list_of_size Gen.(int_range 0 20) (int_range 1 200)) (int_range 0 200) (int_range (-2) 210))
+    (fun (bits, k, from) ->
+      let b = Bitvec.create ~k in
+      List.iter (fun d -> if d <= k then Bitvec.set b d) bits;
+      let rec walk d acc = match Bitvec.next b d with 0 -> List.rev acc | d -> walk (d + 1) (d :: acc) in
+      let naive = List.filter (Bitvec.get b) (List.init k (fun i -> i + 1)) in
+      walk 1 [] = naive
+      && walk from [] = List.filter (fun d -> d >= from) naive
+      && Bitvec.distances b = naive
+      && Bitvec.cardinal b = List.length naive)
+
 (* --- Annotation semantics --- *)
 
 let test_tag_relation () =
@@ -595,6 +610,13 @@ let test_purge_index_plan_allocation_free () =
       (3, Annotation.Enum [ mid 1 0 ]);
       (4, Annotation.Kenum kenum);
     ];
+  (* Sender 3 queues sns 1 and 100; a k = 64 bitmap whose set bits
+     straddle the 62-bit word boundary walks both words between them. *)
+  List.iter
+    (fun sn -> Purge_index.add idx ~view:0 ~id:(mid 3 sn) ~ann:Annotation.Unrelated sn ~seq:sn)
+    [ 1; 100 ];
+  let wide = Bitvec.create ~k:64 in
+  List.iter (Bitvec.set wide) [ 60; 61; 62; 63; 64 ];
   let fresh =
     [|
       (mid 0 10, Annotation.Unrelated);
@@ -602,6 +624,8 @@ let test_purge_index_plan_allocation_free () =
       (mid 0 12, Annotation.Enum [ mid 2 5; mid 0 7 ]);
       (mid 0 13, Annotation.Kenum kenum);
       (mid 1 1, Annotation.Unrelated);
+      (mid 3 130, Annotation.Kenum wide);
+      (mid 3 50, Annotation.Kenum wide);
     |]
   in
   let calls = 1000 in
@@ -681,6 +705,7 @@ let () =
           Alcotest.test_case "or_shifted" `Quick test_bitvec_or_shifted;
           Alcotest.test_case "union/equal/copy" `Quick test_bitvec_union_equal_copy;
           q bitvec_shift_matches_naive;
+          q bitvec_next_walk_matches;
         ] );
       ( "annotation",
         [
